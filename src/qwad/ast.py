@@ -13,7 +13,7 @@ transformation in the package builds new trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -68,11 +68,11 @@ class Register:
     def names(self):
         return tuple(v.name for v in self.vars)
 
-    @property
+    @cached_property
     def dims(self):
         return tuple(v.dim for v in self.vars)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         out = 1
         for v in self.vars:
@@ -131,13 +131,17 @@ class Measurement:
         """Kraus operator per outcome, as arrays on the measured register."""
         if self.kraus is not None:
             return [op.array for op in self.kraus]
-        d = measured.dim
-        ops = []
-        for n in range(d):
-            p = np.zeros((d, d), complex)
-            p[n, n] = 1.0
-            ops.append(p)
-        return ops
+        return basis_kraus(measured.dim)
+
+
+@lru_cache(maxsize=None)
+def basis_kraus(d: int, reset: bool = False) -> tuple:
+    """Read-only Kraus operators on a d-level register, one per basis
+    state n: |n><n| for the basis measurement, |0><n| for the reset."""
+    ops = np.zeros((d, d, d), complex)
+    ops[np.arange(d), 0 if reset else np.arange(d), np.arange(d)] = 1.0
+    ops.flags.writeable = False
+    return tuple(ops)
 
 
 COMP_BASIS = Measurement(None)

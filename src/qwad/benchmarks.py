@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .ast import COMP_BASIS, Case, QVar, Register, Unitary, While, seq_all
-from .compiler import ResourceReport, resource_report
 from .errors import ValidationError
 from .gates import FixedGate, Rotation
 from .syntax import SourceUnit
@@ -171,12 +170,6 @@ def _block(family, window, params, block_index):
     return stmts
 
 
-def generate_bench(spec: BenchSpec):
-    """Build the benchmark program for a spec (see `bench_unit` for the
-    declared source unit)."""
-    return bench_unit(spec).body
-
-
 def bench_unit(spec: BenchSpec) -> SourceUnit:
     qubits = tuple(QVar(f"q{i}") for i in range(1, spec.qubit_count + 1))
     params = _Params(spec.control)
@@ -202,11 +195,6 @@ def bench_unit(spec: BenchSpec) -> SourceUnit:
             stmts.append(While(WHILE_BOUND, guard_reg, COMP_BASIS, body))
     body = seq_all(stmts)
     return SourceUnit(Register(qubits), params.count, body)
-
-
-def bench_report(p, headline_param: int = 1) -> ResourceReport:
-    """Resource summary of a benchmark (or any plain) program."""
-    return resource_report(p, headline_param)
 
 
 def all_specs(scales=SCALES) -> list:

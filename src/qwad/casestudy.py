@@ -24,15 +24,14 @@ exact gradient.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ast import COMP_BASIS, Case, Init, QVar, Register, Unitary, seq_all
+from .ast import COMP_BASIS, Case, Init, QVar, Register, Unitary, max_param_index, seq_all
 from .errors import NumericError, ValidationError
 from .gates import FixedGate, Rotation
-from .gradient import DerivativeProgram, derivative_program, dual_gradient_operator
+from .gradient import derivative_program, dual_gradient_operator
 from .linalg import DensityOperator, Observable
 from .semantics import embed_on, observable_semantics, program_dual_observable
 
@@ -163,7 +162,6 @@ class TrainConfig:
     epochs: int = 1000
     init: str = "uniform"  # uniform in [0, 2*pi), or "zeros"
     seed: int = 42
-    jobs: int = 1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -195,7 +193,7 @@ def init_theta(k: int, cfg: TrainConfig) -> np.ndarray:
     raise ValidationError(f"unknown init spec {cfg.init!r}")
 
 
-def loss_gradient(p, theta, derivatives=None, dataset=None, jobs: int = 1) -> np.ndarray:
+def loss_gradient(p, theta, derivatives=None, dataset=None) -> np.ndarray:
     """Full-batch gradient of the loss at theta."""
     theta = np.asarray(theta, dtype=float)
     data = dataset if dataset is not None else Dataset4.full()
@@ -207,9 +205,7 @@ def loss_gradient(p, theta, derivatives=None, dataset=None, jobs: int = 1) -> np
         z: fwd[_basis_index(z), _basis_index(z)].real - y for z, y in data
     }
 
-    def one(dp: DerivativeProgram) -> float:
-        if not dp.members:
-            return 0.0
+    def one(dp) -> float:
         sigma = dual_gradient_operator(dp, theta, obs, REGISTER)
         # ancilla is the most significant wire and starts in |0>, so the
         # gradient for basis input b sits on the diagonal at index b
@@ -218,9 +214,6 @@ def loss_gradient(p, theta, derivatives=None, dataset=None, jobs: int = 1) -> np
             for z, r in residual.items()
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return np.array(list(pool.map(one, derivatives)))
     return np.array([one(dp) for dp in derivatives])
 
 
@@ -231,8 +224,6 @@ def train(p, cfg: TrainConfig, k: int | None = None,
     Returns the loss curve (initial loss plus one entry per epoch) and
     the final parameters; raises NumericError if the loss diverges.
     """
-    from .ast import max_param_index
-
     if k is None:
         k = max_param_index(p)
     theta = init_theta(k, cfg)
@@ -241,7 +232,7 @@ def train(p, cfg: TrainConfig, k: int | None = None,
     result = TrainResult()
     result.losses.append(loss(p, theta, data))
     for epoch in range(cfg.epochs):
-        grad = loss_gradient(p, theta, derivatives, data, cfg.jobs)
+        grad = loss_gradient(p, theta, derivatives, data)
         theta = theta - cfg.learning_rate * grad
         value = loss(p, theta, data)
         if not np.isfinite(value):

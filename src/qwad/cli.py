@@ -15,9 +15,9 @@ import numpy as np
 
 from .ast import Register
 from .autodiff import differentiate
-from .benchmarks import CONTROLS, FAMILIES, SCALES, BenchSpec, bench_report, bench_unit
+from .benchmarks import CONTROLS, FAMILIES, SCALES, BenchSpec, bench_unit
 from .casestudy import TrainConfig, build_model, train
-from .compiler import compile_additive
+from .compiler import compile_additive, resource_report
 from .errors import NumericError, ParseError, QwadError, ValidationError
 from .gradient import grad_all
 from .linalg import (
@@ -205,9 +205,7 @@ def cmd_grad(args) -> int:
 
 def cmd_train(args) -> int:
     model = build_model(args.model)
-    cfg = TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, seed=args.seed, jobs=args.jobs
-    )
+    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     result = train(model, cfg)
     _emit(args, result.to_csv())
     return 0
@@ -220,7 +218,7 @@ def cmd_bench(args) -> int:
         text = ""
     else:
         text = print_source(unit) + "\n"
-    report = bench_report(unit.body)
+    report = resource_report(unit.body)
     _emit(args, text + report.to_json() + "\n")
     return 0
 
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int, default=1)
     common(p, file=False)
     p.set_defaults(func=cmd_train)
 

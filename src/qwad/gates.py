@@ -15,6 +15,7 @@ those the package defines, per axis:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,26 +48,36 @@ def _axis_matrix(axis: str) -> np.ndarray:
 def rotation_matrix(axis: str, theta: float) -> np.ndarray:
     """exp(-i theta/2 sigma) for a one- or two-qubit Pauli axis."""
     sigma = _axis_matrix(axis)
-    d = sigma.shape[0]
-    return np.cos(theta / 2) * np.eye(d, dtype=complex) - 1j * np.sin(theta / 2) * sigma
+    eye = np.eye(sigma.shape[0], dtype=complex)
+    return math.cos(theta / 2) * eye - 1j * math.sin(theta / 2) * sigma
+
+
+@lru_cache(maxsize=None)
+def _shift_factors(axis: str, hadamard: bool) -> tuple:
+    """(C, S) with cos(theta/2) C + sin(theta/2) S equal to the controlled
+    shift rotation (conjugated by H on the control when ``hadamard``):
+    for c, s = cos, sin(theta/2) and F = -i sigma, R(theta) = cI + sF and
+    R(theta + pi) = -sI + cF fill its two diagonal blocks."""
+    sigma = _axis_matrix(axis)
+    e, f, zero = np.eye(len(sigma)), -1j * sigma, np.zeros_like(sigma)
+    c = np.block([[e, zero], [zero, f]])
+    s = np.block([[f, zero], [zero, -e]])
+    if hadamard:
+        h = np.kron(HADAMARD, e)
+        c, s = h @ c @ h, h @ s @ h
+    return c, s
 
 
 def controlled_shift_matrix(axis: str, theta: float) -> np.ndarray:
     """|0><0| (x) R(theta) + |1><1| (x) R(theta + pi); control most significant."""
-    r0 = rotation_matrix(axis, theta)
-    r1 = rotation_matrix(axis, theta + np.pi)
-    d = r0.shape[0]
-    out = np.zeros((2 * d, 2 * d), complex)
-    out[:d, :d] = r0
-    out[d:, d:] = r1
-    return out
+    c, s = _shift_factors(axis, False)
+    return math.cos(theta / 2) * c + math.sin(theta / 2) * s
 
 
 def gadget_matrix(axis: str, theta: float) -> np.ndarray:
     """Hadamard-conjugated controlled shift rotation on (control, targets)."""
-    d = _axis_matrix(axis).shape[0]
-    h = np.kron(HADAMARD, np.eye(d, dtype=complex))
-    return h @ controlled_shift_matrix(axis, theta) @ h
+    c, s = _shift_factors(axis, True)
+    return math.cos(theta / 2) * c + math.sin(theta / 2) * s
 
 
 @dataclass(frozen=True)

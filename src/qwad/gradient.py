@@ -21,30 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ast import (
-    Abort,
-    Case,
-    Init,
-    QVar,
-    Register,
-    Seq,
-    Skip,
-    Sum,
-    Unitary,
-    While,
-    essentially_aborts,
-)
+from .ast import QVar, Register, essentially_aborts
 from .autodiff import differentiate
 from .compiler import compile_additive, occurrence_count
 from .errors import ValidationError
-from .gates import gate_matrix
-from .linalg import DensityOperator, Observable, PAULI_Z, dagger
+from .linalg import DensityOperator, Observable, PAULI_Z, check_sim_dim, dagger
 from .semantics import (
     _as_theta,
+    _left,
     _resolve_register,
-    embed_on,
-    init_channel,
-    measurement_ops,
+    lower,
     observable_semantics,
     observable_semantics_ancilla,
     program_dual_observable,
@@ -109,6 +95,7 @@ def dual_gradient_operator(dp: DerivativeProgram, theta, o: Observable,
     tr(result . |0><0| (x) rho) equals grad_exact for every rho.  One
     evaluation serves arbitrarily many input states."""
     full = Register((dp.ancilla,) + tuple(base_register))
+    check_sim_dim(full.dim)
     obs_full = np.kron(PAULI_Z, o.mat)
     total = np.zeros((full.dim, full.dim), complex)
     for member in dp.members:
@@ -132,6 +119,7 @@ def estimate_grad_sampled(p, theta, j: int, o: Observable, rho: DensityOperator,
     if delta <= 0:
         raise ValidationError("delta must be positive")
     base = _resolve_register(p, register)
+    check_sim_dim(2 * base.dim)  # the ancilla doubles the register
     if dp is None:
         dp = derivative_program(p, j)
     m = dp.count
@@ -140,7 +128,8 @@ def estimate_grad_sampled(p, theta, j: int, o: Observable, rho: DensityOperator,
     full = Register((dp.ancilla,) + tuple(base))
     th = _as_theta(theta, 0)
     obs_full = np.kron(PAULI_Z, o.mat)
-    programs = [_trajectory_ops(member, th, full) for member in dp.members]
+    eye = np.eye(full.dim, dtype=complex)
+    programs = [_lift(lower(member, th, full), eye) for member in dp.members]
     weights, vectors = _decompose_state(rho)
     n = shot_count(m, delta, c)
     total = 0.0
@@ -189,8 +178,9 @@ class Trajectory:
 
 def sample_trajectory(p, theta, psi0, rng, register: Register) -> Trajectory:
     """Unravel one run of a plain compiled program from a pure state."""
+    check_sim_dim(register.dim)
     th = _as_theta(theta, 0)
-    ops = _trajectory_ops(p, th, register)
+    ops = _lift(lower(p, th, register), np.eye(register.dim, dtype=complex))
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     if psi.size != register.dim:
         raise ValidationError(
@@ -212,39 +202,26 @@ def _decompose_state(rho: DensityOperator):
     return (w / w.sum()).tolist(), vectors
 
 
-def _trajectory_ops(p, theta, full: Register) -> list:
-    """Flatten a plain compiled member into interpreter ops with all
-    matrices pre-embedded on the full register."""
-    if isinstance(p, Skip):
-        return []
-    if isinstance(p, Abort):
-        return [("abort",)]
-    if isinstance(p, Init):
-        return [("kraus", init_channel(p.var, full).kraus, None)]
-    if isinstance(p, Unitary):
-        return [("u", embed_on(gate_matrix(p.gate, theta), p.register, full))]
-    if isinstance(p, Seq):
-        return _trajectory_ops(p.first, theta, full) + _trajectory_ops(
-            p.second, theta, full
-        )
-    if isinstance(p, Case):
-        ops = measurement_ops(p, full)
-        branches = [_trajectory_ops(b, theta, full) for b in p.branches]
-        return [("kraus", tuple(ops), branches)]
-    if isinstance(p, (While, Sum)):
-        raise ValidationError("compiled members contain no while or additive choice")
-    raise ValidationError(f"not a program node: {type(p).__name__}")
+def _lift(ops, eye: np.ndarray) -> list:
+    """Lowered ops as (kind, full-register matrices, lifted branches).
+    A trajectory applies every matrix to one vector per shot, where a
+    dense matvec beats a local contraction."""
+    out = []
+    for op in ops:
+        if op.kind == "while":
+            raise ValidationError("compiled members contain no while loop")
+        mats = [_left(k, eye, op.plan) for k, _ in op.pairs]
+        out.append((op.kind, mats, [_lift(b, eye) for b in op.branches]))
+    return out
 
 
 def _run_trajectory(ops, psi, rng, outcomes=None, weight=1.0):
-    for op in ops:
-        kind = op[0]
+    for kind, kraus, branches in ops:
         if kind == "u":
-            psi = op[1] @ psi
+            psi = kraus[0] @ psi
         elif kind == "abort":
             return psi, False, weight
         else:
-            kraus, branches = op[1], op[2]
             shots = [k @ psi for k in kraus]
             probs = np.array([float(np.real(s.conj() @ s)) for s in shots])
             total = probs.sum()
@@ -255,7 +232,7 @@ def _run_trajectory(ops, psi, rng, outcomes=None, weight=1.0):
                 outcomes.append(m)
             weight *= probs[m] / total
             psi = shots[m] / math.sqrt(probs[m])
-            if branches is not None:
+            if branches:
                 psi, alive, weight = _run_trajectory(
                     branches[m], psi, rng, outcomes, weight
                 )

@@ -29,7 +29,7 @@ PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 IMAG_TOL = 1e-9
 
-# Exact density-operator simulation is O(dim^3) per statement; refuse
+# Exact density-operator simulation holds dim x dim matrices; refuse
 # registers past this point rather than thrash.
 MAX_SIM_DIM = 2 ** 10
 
@@ -71,13 +71,6 @@ def herm_defect(m: np.ndarray) -> float:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply, first factor most significant."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def tensor_all(mats) -> np.ndarray:
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,6 @@ class Superoperator:
     """A trace-non-increasing map rho -> sum_k E_k rho E_k^dagger."""
 
     kraus: tuple
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(as_matrix(k) for k in self.kraus)
@@ -149,8 +141,6 @@ class Superoperator:
             if k.shape != (rows, cols):
                 raise ValidationError("Kraus operators must share one shape")
         object.__setattr__(self, "kraus", ops)
-        if not self.validate:
-            return
         total = sum(dagger(k) @ k for k in ops)
         evals = np.linalg.eigvalsh((total + dagger(total)) / 2)
         if evals[-1] > 1 + HERM_TOL:

@@ -14,6 +14,10 @@ Four views of the same program, all over a fixed register layout:
   through a plain program (Heisenberg picture), so that
   tr(O . denote(p)(rho)) == tr(dual(p, O) . rho) for every rho.
 
+The exact evaluators first :func:`lower` a plain program into a flat op
+list (local matrices, built once per call) and apply each op to the
+target axes of the state alone, never building a full-register matrix.
+
 The register argument fixes the tensor layout (first variable most
 significant).  When omitted it defaults to the program's variables in
 first-appearance order.
@@ -21,7 +25,10 @@ first-appearance order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,19 +43,21 @@ from .ast import (
     Sum,
     Unitary,
     While,
+    basis_kraus,
     is_plain,
     max_param_index,
     qvar_set,
+    seq_parts,
 )
 from .errors import ValidationError
 from .gates import gate_matrix
 from .linalg import (
     DensityOperator,
     Observable,
-    Superoperator,
     check_sim_dim,
     dagger,
     embed,
+    expectation,
 )
 
 ZERO_TOL = 1e-12
@@ -80,23 +89,142 @@ def embed_on(op, target: Register, register: Register) -> np.ndarray:
     return embed(op, target.dims, register.positions(target), register.dims)
 
 
-def init_channel(q: QVar, register: Register) -> Superoperator:
-    """The reset-to-|0> channel on one variable: rho -> sum_n K_n rho K_n^dag
-    with K_n = |0><n| on the variable, identity elsewhere."""
+# -- lowering ------------------------------------------------------------------
+
+class Op(NamedTuple):
+    """One statement of a lowered program.
+
+    ``kind`` is "u" (unitary), "init" (reset channel), "case", "while" or
+    "abort".  ``pairs`` holds each local unitary, Kraus or guard operator
+    on the target wires with its adjoint; ``plan`` tells :func:`_left`
+    how to reach the target wires.  ``branches`` holds the op list of
+    each case outcome, or the loop body; ``bound`` is the loop bound.
+    """
+
+    kind: str
+    pairs: tuple = ()
+    plan: tuple = ()
+    branches: tuple = ()
+    bound: int = 0
+
+
+@lru_cache(maxsize=4096)
+def _plan(positions: tuple, dims: tuple) -> tuple:
+    """How to apply a local operator on the wires at ``positions`` of a
+    register laid out as ``dims``: ``(lead, d)`` when the wires are
+    contiguous and in order, otherwise the reshapes and the axis order
+    of one permutation that brings them to the front."""
+    d = math.prod(dims[i] for i in positions)
+    first = positions[0] if positions else 0
+    if positions == tuple(range(first, first + len(positions))):
+        return (math.prod(dims[:first]), d)
+    n = len(dims)
+    order = positions + tuple(i for i in range(n) if i not in positions)
+    inverse = tuple(int(i) for i in np.argsort(order)) + (n,)
+    permuted = tuple(dims[i] for i in order) + (-1,)
+    return (dims + (-1,), order + (n,), permuted, inverse, d)
+
+
+def _left(a: np.ndarray, x: np.ndarray, plan: tuple) -> np.ndarray:
+    """(a on the planned wires, identity elsewhere) @ x, without building
+    the full-register matrix; x is a vector or has one row per basis
+    state of the register."""
+    if len(plan) == 2:
+        return (a @ x.reshape(plan[0], plan[1], -1)).reshape(x.shape)
+    shape, order, permuted, inverse, d = plan
+    t = x.reshape(shape).transpose(order).reshape(d, -1)
+    return (a @ t).reshape(permuted).transpose(inverse).reshape(x.shape)
+
+
+def _conj(x: np.ndarray, a: np.ndarray, b: np.ndarray, plan: tuple) -> np.ndarray:
+    """A x B for the lifted A and B, by left products only: x B == (B^T x^T)^T."""
+    return _left(b.T, _left(a, x, plan).T, plan).T
+
+
+def _op(kind, mats, target: Register, register: Register, branches=(), bound=0) -> Op:
+    plan = _plan(tuple(register.index(v) for v in target), register.dims)
+    return Op(kind, tuple((m, dagger(m)) for m in mats), plan, branches, bound)
+
+
+def lower(p, theta, register: Register) -> list:
+    """Flatten a plain program into ops on ``register``: a Seq chain
+    becomes one list, every gate, guard and reset one local matrix or
+    Kraus list; nothing after an ``abort`` is kept."""
     ops = []
-    for n in range(q.dim):
-        k = np.zeros((q.dim, q.dim), complex)
-        k[0, n] = 1.0
-        ops.append(embed_on(k, Register.of(q), register))
-    return Superoperator(tuple(ops), validate=False)
+    for node in seq_parts(p):
+        if isinstance(node, Skip):
+            continue
+        if isinstance(node, Abort):
+            ops.append(Op("abort"))
+            break
+        if isinstance(node, Unitary):
+            ops.append(_op("u", (gate_matrix(node.gate, theta),), node.register, register))
+        elif isinstance(node, Init):
+            kraus = basis_kraus(node.var.dim, reset=True)
+            ops.append(_op("init", kraus, Register.of(node.var), register))
+        elif isinstance(node, Case):
+            branches = tuple(lower(b, theta, register) for b in node.branches)
+            guard = node.measurement.operators(node.measured)
+            ops.append(_op("case", guard, node.measured, register, branches))
+        elif isinstance(node, While):
+            body = (lower(node.body, theta, register),)
+            guard = node.measurement.operators(node.measured)
+            ops.append(_op("while", guard, node.measured, register, body, node.bound))
+        elif isinstance(node, Sum):
+            raise ValidationError(
+                "evaluation is defined on plain programs; additive programs "
+                "have multiset semantics (trace_enumerate / observable_semantics)"
+            )
+        else:
+            raise ValidationError(f"not a program node: {type(node).__name__}")
+    return ops
 
 
-def measurement_ops(node, register: Register):
-    """Embedded Kraus operator per outcome of a case/while guard."""
-    return [
-        embed_on(m, node.measured, register)
-        for m in node.measurement.operators(node.measured)
-    ]
+def _forward(ops, x: np.ndarray) -> np.ndarray:
+    """Schroedinger picture: rho -> sum_k K_k rho K_k^dag, op by op."""
+    for op in ops:
+        kind, plan = op.kind, op.plan
+        if kind == "u":
+            x = _conj(x, *op.pairs[0], plan)
+        elif kind == "init":
+            x = sum(_conj(x, k, kd, plan) for k, kd in op.pairs)
+        elif kind == "case":
+            x = sum(_forward(b, _conj(x, k, kd, plan))
+                    for (k, kd), b in zip(op.pairs, op.branches))
+        elif kind == "while":
+            (m0, d0), (m1, d1) = op.pairs
+            acc = _conj(x, m0, d0, plan)
+            for _ in range(1, op.bound):
+                x = _forward(op.branches[0], _conj(x, m1, d1, plan))
+                acc = acc + _conj(x, m0, d0, plan)
+            x = acc
+        else:
+            return np.zeros_like(x)
+    return x
+
+
+def _dual(ops, x: np.ndarray) -> np.ndarray:
+    """Heisenberg picture: O -> sum_k K_k^dag O K_k, last op first.
+    Nothing here assumes O is Hermitian."""
+    for op in reversed(ops):
+        kind, plan = op.kind, op.plan
+        if kind == "u":
+            x = _conj(x, op.pairs[0][1], op.pairs[0][0], plan)
+        elif kind == "init":
+            x = sum(_conj(x, kd, k, plan) for k, kd in op.pairs)
+        elif kind == "case":
+            x = sum(_conj(_dual(b, x), kd, k, plan)
+                    for (k, kd), b in zip(op.pairs, op.branches))
+        elif kind == "while":
+            (m0, d0), (m1, d1) = op.pairs
+            x = acc = _conj(x, d0, m0, plan)
+            for _ in range(1, op.bound):
+                x = _conj(_dual(op.branches[0], x), d1, m1, plan)
+                acc = acc + x
+            x = acc
+        else:
+            return np.zeros_like(x)
+    return x
 
 
 def denote(p, theta, rho: DensityOperator, register: Register | None = None,
@@ -109,44 +237,7 @@ def denote(p, theta, rho: DensityOperator, register: Register | None = None,
             f"input state dim {rho.dim} does not match register dim {reg.dim}"
         )
     th = _as_theta(theta, max_param_index(p))
-    return DensityOperator(_denote(p, th, rho.mat, reg))
-
-
-def _denote(p, theta, mat: np.ndarray, reg: Register) -> np.ndarray:
-    if isinstance(p, Abort):
-        return np.zeros_like(mat)
-    if isinstance(p, Skip):
-        return mat
-    if isinstance(p, Init):
-        out = np.zeros_like(mat)
-        for k in init_channel(p.var, reg).kraus:
-            out += k @ mat @ dagger(k)
-        return out
-    if isinstance(p, Unitary):
-        u = embed_on(gate_matrix(p.gate, theta), p.register, reg)
-        return u @ mat @ dagger(u)
-    if isinstance(p, Seq):
-        return _denote(p.second, theta, _denote(p.first, theta, mat, reg), reg)
-    if isinstance(p, Case):
-        ops = measurement_ops(p, reg)
-        out = np.zeros_like(mat)
-        for m, branch in zip(ops, p.branches):
-            out += _denote(branch, theta, m @ mat @ dagger(m), reg)
-        return out
-    if isinstance(p, While):
-        m0, m1 = measurement_ops(p, reg)
-        acc = m0 @ mat @ dagger(m0)
-        cur = mat
-        for _ in range(1, p.bound):
-            cur = _denote(p.body, theta, m1 @ cur @ dagger(m1), reg)
-            acc = acc + m0 @ cur @ dagger(m0)
-        return acc
-    if isinstance(p, Sum):
-        raise ValidationError(
-            "denote is defined on plain programs; additive programs have "
-            "multiset semantics (trace_enumerate / observable_semantics)"
-        )
-    raise ValidationError(f"not a program node: {type(p).__name__}")
+    return DensityOperator(_forward(lower(p, th, reg), rho.mat))
 
 
 # -- small-step execution -----------------------------------------------------
@@ -184,28 +275,24 @@ def step(cfg: Configuration, theta, register: Register) -> list:
     if isinstance(p, Abort):
         return [done(np.zeros_like(mat))]
     if isinstance(p, (Skip, Init, Unitary)):
-        return [done(_denote(p, th, mat, register))]
+        return [done(_forward(lower(p, th, register), mat))]
     if isinstance(p, Seq):
         out = []
         for nxt in step(Configuration(p.first, cfg.state), th, register):
             rest = p.second if nxt.terminated else Seq(nxt.residual, p.second)
             out.append(Configuration(rest, nxt.state))
         return out
-    if isinstance(p, Case):
-        ops = measurement_ops(p, register)
-        return [
-            Configuration(branch, DensityOperator(m @ mat @ dagger(m)))
-            for m, branch in zip(ops, p.branches)
-        ]
-    if isinstance(p, While):
-        m0, m1 = measurement_ops(p, register)
-        exit_cfg = done(m0 @ mat @ dagger(m0))
+    if isinstance(p, (Case, While)):
+        kind = "case" if isinstance(p, Case) else "while"
+        guard = _op(kind, p.measurement.operators(p.measured), p.measured, register)
+        outs = [DensityOperator(_conj(mat, k, kd, guard.plan)) for k, kd in guard.pairs]
+        if isinstance(p, Case):
+            return [Configuration(b, s) for s, b in zip(outs, p.branches)]
         if p.bound == 1:
             rest = Seq(p.body, Abort(qvar_set(p)))
         else:
             rest = Seq(p.body, While(p.bound - 1, p.measured, p.measurement, p.body))
-        loop_cfg = Configuration(rest, DensityOperator(m1 @ mat @ dagger(m1)))
-        return [exit_cfg, loop_cfg]
+        return [Configuration(None, outs[0]), Configuration(rest, outs[1])]
     if isinstance(p, Sum):
         return [Configuration(p.left, cfg.state), Configuration(p.right, cfg.state)]
     raise ValidationError(f"not a program node: {type(p).__name__}")
@@ -272,14 +359,10 @@ def observable_semantics(p, o: Observable, rho: DensityOperator, theta,
     reg = _resolve_register(p, register)
     if o.dim != reg.dim:
         raise ValidationError(f"observable dim {o.dim} != register dim {reg.dim}")
-    if is_plain(p):
-        return _expect(o.mat, denote(p, theta, rho, reg).mat)
     from .compiler import compile_additive
 
-    total = 0.0
-    for member in compile_additive(p).members:
-        total += _expect(o.mat, denote(member, theta, rho, reg).mat)
-    return total
+    members = [p] if is_plain(p) else compile_additive(p).members
+    return sum(expectation(o, denote(m, theta, rho, reg)) for m in members)
 
 
 def observable_semantics_ancilla(p, o: Observable, rho: DensityOperator, theta,
@@ -300,6 +383,7 @@ def observable_semantics_ancilla(p, o: Observable, rho: DensityOperator, theta,
     if ancilla in base_register:
         raise ValidationError(f"ancilla {ancilla.name!r} is part of the base register")
     full = Register((ancilla,) + tuple(base_register))
+    check_sim_dim(full.dim)
     if o_ancilla is None:
         o_ancilla = np.array([[1, 0], [0, -1]], dtype=complex)
     obs_full = Observable(np.kron(o_ancilla, o.mat))
@@ -309,57 +393,15 @@ def observable_semantics_ancilla(p, o: Observable, rho: DensityOperator, theta,
     return observable_semantics(p, obs_full, rho_full, theta, full)
 
 
-def _expect(o: np.ndarray, mat: np.ndarray) -> float:
-    val = complex(np.trace(o @ mat))
-    if abs(val.imag) > 1e-9:
-        raise ValidationError(
-            f"observable semantics has imaginary residue {val.imag:.3e}"
-        )
-    return val.real
-
-
 def program_dual_observable(p, theta, o, register: Register | None = None) -> np.ndarray:
     """Heisenberg-picture semantics of a plain program applied to an
     operator: tr(O . denote(p)(rho)) == tr(result . rho) for all rho."""
-    if not is_plain(p):
-        raise ValidationError("dual semantics is defined on plain programs")
     reg = _resolve_register(p, register)
+    check_sim_dim(reg.dim)
     o = np.asarray(o, dtype=complex)
     if o.shape != (reg.dim, reg.dim):
         raise ValidationError(
             f"operator shape {o.shape} does not match register dim {reg.dim}"
         )
     th = _as_theta(theta, max_param_index(p))
-    return _dual(p, th, o, reg)
-
-
-def _dual(p, theta, o: np.ndarray, reg: Register) -> np.ndarray:
-    if isinstance(p, Abort):
-        return np.zeros_like(o)
-    if isinstance(p, Skip):
-        return o
-    if isinstance(p, Init):
-        out = np.zeros_like(o)
-        for k in init_channel(p.var, reg).kraus:
-            out += dagger(k) @ o @ k
-        return out
-    if isinstance(p, Unitary):
-        u = embed_on(gate_matrix(p.gate, theta), p.register, reg)
-        return dagger(u) @ o @ u
-    if isinstance(p, Seq):
-        return _dual(p.first, theta, _dual(p.second, theta, o, reg), reg)
-    if isinstance(p, Case):
-        ops = measurement_ops(p, reg)
-        out = np.zeros_like(o)
-        for m, branch in zip(ops, p.branches):
-            out += dagger(m) @ _dual(branch, theta, o, reg) @ m
-        return out
-    if isinstance(p, While):
-        m0, m1 = measurement_ops(p, reg)
-        cur = dagger(m0) @ o @ m0
-        acc = cur.copy()
-        for _ in range(1, p.bound):
-            cur = dagger(m1) @ _dual(p.body, theta, cur, reg) @ m1
-            acc += cur
-        return acc
-    raise ValidationError(f"not a program node: {type(p).__name__}")
+    return np.ascontiguousarray(_dual(lower(p, th, reg), o))

@@ -21,9 +21,9 @@ from qwad.ast import (
     qvar_set,
 )
 from qwad.autodiff import differentiate
-from qwad.benchmarks import BenchSpec, all_specs, bench_report, generate_bench
+from qwad.benchmarks import BenchSpec, all_specs, bench_unit
 from qwad.casestudy import TrainConfig, build_p1, build_p2, train
-from qwad.compiler import compile_additive, nna, occurrence_count
+from qwad.compiler import compile_additive, nna, occurrence_count, resource_report
 from qwad.gates import (
     AXES,
     GadgetRotation,
@@ -169,7 +169,7 @@ def test_c05_nonaborting_count_bounded_by_occurrences():
             if nna(differentiate(p, j).transformed) > occurrence_count(p, j):
                 ok = False
     for spec in all_specs(scales=("s",)):
-        rep = bench_report(generate_bench(spec))
+        rep = resource_report(bench_unit(spec).body)
         for j, oc in rep.oc.items():
             checked += 1
             if rep.nna[j] > oc:
@@ -282,7 +282,7 @@ def test_c10_benchmarks_pass_the_property_pack():
     rng = np.random.default_rng(1010)
     ok = True
     for spec in all_specs(scales=("s",)):
-        u = generate_bench(spec)
+        u = bench_unit(spec).body
         reg = qvar_set(u)
         k = max([g.gate.param_index or 0 for g in _unitaries(u)] + [1])
         theta = random_theta(rng, k)
@@ -297,7 +297,7 @@ def test_c10_benchmarks_pass_the_property_pack():
             g = grad_exact(u, theta, j, o, rho, reg)
             fd = finite_difference(u, theta, j, o, rho, register=reg)
             ok &= abs(g - fd) <= 1e-5
-        rep = bench_report(u)
+        rep = resource_report(u)
         ok &= all(rep.nna[j] <= rep.oc[j] for j in rep.oc)
     # static checks and report columns for instances past the
     # exact-simulation cap
@@ -306,7 +306,7 @@ def test_c10_benchmarks_pass_the_property_pack():
     for scale in ("m", "l"):
         for family in ("qnn", "vqe", "qaoa"):
             spec = BenchSpec(family, scale, "while")
-            rep = bench_report(generate_bench(spec))
+            rep = resource_report(bench_unit(spec).body)
             ok &= rep.headline_nna <= rep.headline_oc
             doc = json.loads(rep.to_json())
             ok &= all(

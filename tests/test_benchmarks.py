@@ -4,14 +4,8 @@ from pathlib import Path
 import pytest
 
 from qwad.ast import Case, Unitary, While, qvar_set
-from qwad.benchmarks import (
-    BenchSpec,
-    all_specs,
-    bench_report,
-    bench_unit,
-    generate_bench,
-)
-from qwad.compiler import gate_count, layer_count, occurrence_count
+from qwad.benchmarks import BenchSpec, all_specs, bench_unit
+from qwad.compiler import gate_count, layer_count, occurrence_count, resource_report
 from qwad.errors import ValidationError
 from qwad.gates import Rotation
 from qwad.syntax import parse, print_source
@@ -31,7 +25,7 @@ def _walk(p):
 
 class TestShapes:
     def test_qnn_small_basic_has_18_parameterized_gates(self):
-        p = generate_bench(BenchSpec("qnn", "s", "basic"))
+        p = bench_unit(BenchSpec("qnn", "s", "basic")).body
         rotations = [
             n for n in _walk(p) if isinstance(n, Unitary) and isinstance(n.gate, Rotation)
         ]
@@ -42,12 +36,12 @@ class TestShapes:
 
     def test_while_variants_use_bound_two(self):
         for family in ("qnn", "vqe", "qaoa"):
-            p = generate_bench(BenchSpec(family, "s", "while"))
+            p = bench_unit(BenchSpec(family, "s", "while")).body
             loops = [n for n in _walk(p) if isinstance(n, While)]
             assert loops and all(w.bound == 2 for w in loops)
 
     def test_if_variants_have_guards(self):
-        p = generate_bench(BenchSpec("vqe", "s", "if"))
+        p = bench_unit(BenchSpec("vqe", "s", "if")).body
         assert any(isinstance(n, Case) for n in _walk(p))
 
     def test_every_declared_qubit_is_touched(self):
@@ -57,15 +51,15 @@ class TestShapes:
 
     def test_layer_count_matches_spec(self):
         for spec in all_specs(scales=("s", "m")):
-            assert layer_count(generate_bench(spec)) == spec.layer_count, spec.name
+            assert layer_count(bench_unit(spec).body) == spec.layer_count, spec.name
 
     def test_shared_reuses_th1_across_first_pass(self):
-        p = generate_bench(BenchSpec("qaoa", "s", "shared"))
+        p = bench_unit(BenchSpec("qaoa", "s", "shared")).body
         assert occurrence_count(p, 1) == 3  # one X rotation per qubit
 
     def test_basic_uses_th1_once(self):
         for family in ("qnn", "vqe", "qaoa"):
-            p = generate_bench(BenchSpec(family, "s", "basic"))
+            p = bench_unit(BenchSpec(family, "s", "basic")).body
             assert occurrence_count(p, 1) == 1
 
     def test_spec_validation(self):
@@ -80,13 +74,13 @@ class TestShapes:
 class TestCountBound:
     def test_nna_at_most_oc_small(self):
         for spec in all_specs(scales=("s",)):
-            rep = bench_report(generate_bench(spec))
+            rep = resource_report(bench_unit(spec).body)
             for j, oc in rep.oc.items():
                 assert rep.nna[j] <= oc, f"{spec.name} th{j}"
 
     def test_while_variants_prune_strictly(self):
         for family in ("qnn", "vqe", "qaoa"):
-            rep = bench_report(generate_bench(BenchSpec(family, "s", "while")))
+            rep = resource_report(bench_unit(BenchSpec(family, "s", "while")).body)
             assert rep.headline_nna < rep.headline_oc
 
     def test_medium_scale_headline_static(self):
@@ -94,23 +88,23 @@ class TestCountBound:
         # simulation cap, but counting needs no simulation
         for family in ("qnn", "vqe", "qaoa"):
             spec = BenchSpec(family, "m", "while")
-            p = generate_bench(spec)
-            rep = bench_report(p)
+            p = bench_unit(spec).body
+            rep = resource_report(p)
             assert rep.headline_nna <= rep.headline_oc
             assert rep.qubit_count == spec.qubit_count
 
 
 class TestReport:
     def test_columns_present(self):
-        rep = bench_report(generate_bench(BenchSpec("qnn", "s", "if")))
+        rep = resource_report(bench_unit(BenchSpec("qnn", "s", "if")).body)
         doc = json.loads(rep.to_json())
         for col in ("oc", "nna", "gates", "lines", "layers", "qubits",
                     "headline_oc", "headline_nna"):
             assert col in doc
 
     def test_gate_count_counts_loop_body_per_iteration(self):
-        basic = generate_bench(BenchSpec("qaoa", "s", "basic"))
-        looped = generate_bench(BenchSpec("qaoa", "s", "while"))
+        basic = bench_unit(BenchSpec("qaoa", "s", "basic")).body
+        looped = bench_unit(BenchSpec("qaoa", "s", "while")).body
         # one extra block wrapped in a 2-bounded loop: body counts twice
         assert gate_count(looped) == gate_count(basic) * 3
 
