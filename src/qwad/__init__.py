@@ -51,6 +51,7 @@ from .gradient import (
     Trajectory,
     estimate_grad_sampled,
     finite_difference,
+    grad_adjoint,
     grad_all,
     grad_exact,
     sample_trajectory,

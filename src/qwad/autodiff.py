@@ -46,7 +46,7 @@ from .ast import (
     qvar_set,
 )
 from .errors import ValidationError
-from .gates import GadgetRotation, Rotation, trivially_uses
+from .gates import GadgetRotation, check_differentiable, trivially_uses
 from .linalg import random_density, random_observable
 from .semantics import observable_semantics, observable_semantics_ancilla
 
@@ -98,11 +98,7 @@ def _transform(p, j, ancilla, extended):
     if isinstance(p, Unitary):
         if trivially_uses(p.gate, j):
             return trivial
-        if not isinstance(p.gate, Rotation):
-            raise ValidationError(
-                f"no derivative rule for gate {type(p.gate).__name__}; only "
-                "rotations and couplings carry parameters"
-            )
+        check_differentiable(p.gate)
         target = Register((ancilla,) + tuple(p.register))
         return Unitary(GadgetRotation(p.gate.axis, p.gate.param), target)
     if isinstance(p, Seq):

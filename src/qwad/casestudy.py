@@ -15,10 +15,15 @@ error summed over all 16 inputs.  Both models execute 24 rotations per
 run; only P2 can condition its second half on a measurement, which is
 what lets it fit this label at all.
 
-Training is plain full-batch gradient descent.  Per epoch the gradient
-of the read-out for each parameter is evaluated through the pulled-back
-gradient operator (one Heisenberg-picture pass per parameter serves all
-16 inputs); that path is tested to agree with the member-by-member
+Training is plain full-batch gradient descent.  The predictions for all
+16 inputs are the diagonal of one Heisenberg-picture pass of the
+read-out.  The loss gradient sum_z r_z df_z/dtheta, with residuals
+r_z = f_z - y_z, is linear in the input state, so it is the gradient of
+one read-out on the signed mixture rho_R = sum_z r_z |z><z|: one
+reverse-mode sweep (``gradient.grad_adjoint``) gives all partials at
+once, with no derivative program and no ancilla.  Training computes the
+predictions once per parameter point, for the recorded loss and the next
+residuals alike.  The sweep is tested to agree with the member-by-member
 exact gradient.
 """
 
@@ -31,7 +36,7 @@ import numpy as np
 from .ast import COMP_BASIS, Case, Init, QVar, Register, Unitary, max_param_index, seq_all
 from .errors import NumericError, ValidationError
 from .gates import FixedGate, Rotation
-from .gradient import derivative_program, dual_gradient_operator
+from .gradient import grad_adjoint
 from .linalg import DensityOperator, Observable
 from .semantics import embed_on, observable_semantics, program_dual_observable
 
@@ -145,15 +150,23 @@ def classify(p, theta, z) -> float:
     return observable_semantics(p, readout_observable(), rho, theta, REGISTER)
 
 
+def _predictions(p, theta, obs: Observable) -> np.ndarray:
+    """The read-out f_z of every basis input z, indexed by z as a binary
+    number: the diagonal of the read-out pulled back through the model."""
+    return program_dual_observable(p, theta, obs.mat, REGISTER).diagonal().real
+
+
+def _loss(pred: np.ndarray, data) -> float:
+    total = 0.0
+    for z, y in data:
+        total += 0.5 * (pred[_basis_index(z)] - y) ** 2
+    return total
+
+
 def loss(p, theta, dataset: Dataset4 | None = None) -> float:
     """Half the squared error of the prediction, summed over the data."""
     data = dataset if dataset is not None else Dataset4.full()
-    obs = program_dual_observable(p, theta, readout_observable().mat, REGISTER)
-    total = 0.0
-    for z, y in data:
-        l = obs[_basis_index(z), _basis_index(z)].real
-        total += 0.5 * (l - y) ** 2
-    return total
+    return _loss(_predictions(p, theta, readout_observable()), data)
 
 
 @dataclass(frozen=True)
@@ -194,27 +207,24 @@ def init_theta(k: int, cfg: TrainConfig) -> np.ndarray:
 
 
 def loss_gradient(p, theta, derivatives=None, dataset=None) -> np.ndarray:
-    """Full-batch gradient of the loss at theta."""
+    """Full-batch gradient of the loss at theta, one entry per theta.
+
+    ``derivatives`` is unused: the gradient comes from one adjoint sweep,
+    not from derivative programs.  It stays so that positional callers
+    ``loss_gradient(p, theta, derivatives)`` keep working."""
     theta = np.asarray(theta, dtype=float)
     data = dataset if dataset is not None else Dataset4.full()
-    if derivatives is None:
-        derivatives = [derivative_program(p, j) for j in range(1, theta.size + 1)]
     obs = readout_observable()
-    fwd = program_dual_observable(p, theta, obs.mat, REGISTER)
-    residual = {
-        z: fwd[_basis_index(z), _basis_index(z)].real - y for z, y in data
-    }
+    return _gradient(p, theta, _predictions(p, theta, obs), data, obs)
 
-    def one(dp) -> float:
-        sigma = dual_gradient_operator(dp, theta, obs, REGISTER)
-        # ancilla is the most significant wire and starts in |0>, so the
-        # gradient for basis input b sits on the diagonal at index b
-        return sum(
-            r * sigma[_basis_index(z), _basis_index(z)].real
-            for z, r in residual.items()
-        )
 
-    return np.array([one(dp) for dp in derivatives])
+def _gradient(p, theta, pred: np.ndarray, data, obs: Observable) -> np.ndarray:
+    """sum_z r_z df_z/dtheta as the gradient of the read-out on the
+    signed mixture sum_z r_z |z><z| of the inputs."""
+    weights = np.zeros(len(pred))
+    for z, y in data:
+        weights[_basis_index(z)] = pred[_basis_index(z)] - y
+    return grad_adjoint(p, theta, obs, np.diag(weights), REGISTER)
 
 
 def train(p, cfg: TrainConfig, k: int | None = None,
@@ -228,13 +238,15 @@ def train(p, cfg: TrainConfig, k: int | None = None,
         k = max_param_index(p)
     theta = init_theta(k, cfg)
     data = Dataset4.full()
-    derivatives = [derivative_program(p, j) for j in range(1, k + 1)]
+    obs = readout_observable()
+    pred = _predictions(p, theta, obs)
     result = TrainResult()
-    result.losses.append(loss(p, theta, data))
+    result.losses.append(_loss(pred, data))
     for epoch in range(cfg.epochs):
-        grad = loss_gradient(p, theta, derivatives, data)
+        grad = _gradient(p, theta, pred, data, obs)
         theta = theta - cfg.learning_rate * grad
-        value = loss(p, theta, data)
+        pred = _predictions(p, theta, obs)
+        value = _loss(pred, data)
         if not np.isfinite(value):
             raise NumericError(
                 f"training diverged at epoch {epoch + 1} (loss {value})"

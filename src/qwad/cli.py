@@ -27,6 +27,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     as_matrix,
+    check_sim_dim,
 )
 from .semantics import denote, embed_on, observable_semantics
 from .syntax import SourceUnit, parse, print_source
@@ -188,6 +189,9 @@ def cmd_run(args) -> int:
 def cmd_grad(args) -> int:
     unit = _read_unit(args.file)
     reg = unit.register
+    # refuse an oversized register before building its observable and
+    # state: the sampler adds an ancilla qubit, the exact sweep does not
+    check_sim_dim(2 * reg.dim if args.sampled else reg.dim)
     theta = _parse_theta(args, unit.k)
     o = _parse_obs(args.obs, reg)
     rho = _parse_rho(args.rho, reg)

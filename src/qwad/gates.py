@@ -189,6 +189,30 @@ def trivially_uses(gate, j: int) -> bool:
     return gate.param_index != j
 
 
+def check_differentiable(gate) -> None:
+    """Only rotations and couplings have a derivative rule."""
+    if not isinstance(gate, Rotation):
+        raise ValidationError(
+            f"no derivative rule for gate {type(gate).__name__}; only "
+            "rotations and couplings carry parameters"
+        )
+
+
+@lru_cache(maxsize=None)
+def _generator(axis: str) -> np.ndarray:
+    g = -0.5j * _axis_matrix(axis)
+    g.flags.writeable = False
+    return g
+
+
+def rotation_generator(gate) -> np.ndarray:
+    """G with dR/dtheta = G R(theta) for R(theta) = exp(-i theta/2 sigma):
+    G = -i sigma / 2 = R(theta + pi) R(theta)^dag / 2, the shift identity
+    dR/dtheta = R(theta + pi) / 2 read through R^dag.  Read-only."""
+    check_differentiable(gate)
+    return _generator(gate.axis)
+
+
 def gate_matrix(gate, theta) -> np.ndarray:
     """Concrete unitary for a gate at parameter values ``theta``."""
     if isinstance(gate, FixedGate):

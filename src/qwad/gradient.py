@@ -1,8 +1,16 @@
 """Gradients of program read-outs: exact, finite-difference, sampled.
 
-The exact path runs the derivative pipeline end to end: transform the
-program for one parameter, compile the result to plain members, then sum
-the ancilla-Z read-out of every member on the ancilla-extended input.
+:func:`grad_adjoint` gives every exact partial of a plain program at
+once, by reverse mode on the base register: one forward sweep of the
+state and one backward (Heisenberg) sweep of the observable, adding the
+shift-rule term of each parameterized rotation on the way back.  It
+needs no ancilla and no derivative program; :func:`grad_all` uses it.
+
+:func:`grad_exact` runs the derivative pipeline end to end for one
+parameter: transform the program, compile the result to plain members,
+then sum the ancilla-Z read-out of every member on the ancilla-extended
+input.  Those members are what a device would run, and this path is the
+oracle the adjoint sweep is tested against.
 
 The sampled path mimics hardware execution: it draws a member uniformly
 at random, unravels it as a pure-state trajectory (measurements and the
@@ -21,12 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ast import QVar, Register, essentially_aborts
+from .ast import QVar, Register, essentially_aborts, max_param_index
 from .autodiff import differentiate
 from .compiler import compile_additive, occurrence_count
 from .errors import ValidationError
-from .linalg import DensityOperator, Observable, PAULI_Z, check_sim_dim, dagger
+from .linalg import (
+    HERM_TOL,
+    DensityOperator,
+    Observable,
+    PAULI_Z,
+    check_sim_dim,
+    dagger,
+    herm_defect,
+)
 from .semantics import (
+    _adjoint,
     _as_theta,
     _left,
     _resolve_register,
@@ -74,6 +91,30 @@ def grad_exact(p, theta, j: int, o: Observable, rho: DensityOperator,
             member, o, rho, theta, dp.ancilla, base
         )
     return total
+
+
+def grad_adjoint(p, theta, o, rho, register: Register | None = None) -> np.ndarray:
+    """Every partial of tr(O . denote(p)(rho)) for a plain program, one
+    per entry of ``theta``, from one reverse-mode sweep on the base
+    register.  ``o`` and ``rho`` are Hermitian: an Observable and a
+    DensityOperator, or any Hermitian matrices (a signed mixture of
+    input states, say).  Agrees with :func:`grad_exact` for every j."""
+    reg = _resolve_register(p, register)
+    check_sim_dim(reg.dim)
+    th = _as_theta(theta, max_param_index(p))
+    o_mat, rho_mat = (_hermitian(a, reg.dim) for a in (o, rho))
+    grad = np.zeros(th.size)
+    _adjoint(lower(p, th, reg), rho_mat, o_mat, grad)
+    return grad
+
+
+def _hermitian(a, dim: int) -> np.ndarray:
+    m = np.asarray(getattr(a, "mat", a), dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValidationError(f"operator shape {m.shape} does not match register dim {dim}")
+    if herm_defect(m) > HERM_TOL:
+        raise ValidationError("the adjoint sweep needs Hermitian operators")
+    return m
 
 
 def finite_difference(p, theta, j: int, o: Observable, rho: DensityOperator,
@@ -275,7 +316,11 @@ def grad_all(p, theta, o: Observable, rho: DensityOperator,
              sampled: bool = False, delta: float = 0.05, seed: int = 0,
              c: float = DEFAULT_SHOT_CONSTANT,
              params: list | None = None) -> GradientReport:
-    """Derivative of the read-out for every parameter (or ``params``)."""
+    """Derivative of the read-out for every parameter (or ``params``).
+
+    Exact values come from one adjoint sweep per call; the derivative
+    programs are built for their member counts, and run only by the
+    sampled estimator."""
     theta = np.asarray(theta, dtype=float)
     k = theta.size
     base = _resolve_register(p, register)
@@ -288,15 +333,19 @@ def grad_all(p, theta, o: Observable, rho: DensityOperator,
         dp = derivative_program(p, j)
         counts.append(dp.count)
         ocs.append(occurrence_count(p, j))
-        if sampled and dp.count:
-            shots += shot_count(dp.count, delta, c)
-            values.append(
-                estimate_grad_sampled(
-                    p, theta, j, o, rho, delta, seed + j, c, base, dp
+        if sampled:
+            if dp.count:
+                shots += shot_count(dp.count, delta, c)
+                values.append(
+                    estimate_grad_sampled(
+                        p, theta, j, o, rho, delta, seed + j, c, base, dp
+                    )
                 )
-            )
-        else:
-            values.append(grad_exact(p, theta, j, o, rho, base, dp))
+            else:
+                values.append(0.0)
+    if not sampled:
+        grad = grad_adjoint(p, theta, o, rho, base)
+        values = [float(grad[j - 1]) for j in indices]
     return GradientReport(
         theta=tuple(float(x) for x in theta),
         values=tuple(values),

@@ -1,6 +1,6 @@
 """Evaluators for plain and additive programs.
 
-Four views of the same program, all over a fixed register layout:
+Views of the same program, all over a fixed register layout:
 
 * :func:`denote` -- the forward superoperator semantics, one partial
   density operator out per density operator in.
@@ -13,6 +13,10 @@ Four views of the same program, all over a fixed register layout:
 * :func:`program_dual_observable` -- pulls an operator backwards
   through a plain program (Heisenberg picture), so that
   tr(O . denote(p)(rho)) == tr(dual(p, O) . rho) for every rho.
+* :func:`_adjoint` -- reverse mode: one forward sweep of the state and
+  one backward sweep of the observable give the partial derivative of
+  tr(O . denote(p)(rho)) for every parameter at once
+  (``gradient.grad_adjoint``).
 
 The exact evaluators first :func:`lower` a plain program into a flat op
 list (local matrices, built once per call) and apply each op to the
@@ -50,7 +54,7 @@ from .ast import (
     seq_parts,
 )
 from .errors import ValidationError
-from .gates import gate_matrix
+from .gates import gate_matrix, rotation_generator
 from .linalg import (
     DensityOperator,
     Observable,
@@ -99,6 +103,8 @@ class Op(NamedTuple):
     on the target wires with its adjoint; ``plan`` tells :func:`_left`
     how to reach the target wires.  ``branches`` holds the op list of
     each case outcome, or the loop body; ``bound`` is the loop bound.
+    ``slot`` is ``(j, gate)`` for a unitary whose gate reads parameter
+    j, else empty; only :func:`_adjoint` reads it.
     """
 
     kind: str
@@ -106,6 +112,7 @@ class Op(NamedTuple):
     plan: tuple = ()
     branches: tuple = ()
     bound: int = 0
+    slot: tuple = ()
 
 
 @lru_cache(maxsize=4096)
@@ -141,9 +148,10 @@ def _conj(x: np.ndarray, a: np.ndarray, b: np.ndarray, plan: tuple) -> np.ndarra
     return _left(b.T, _left(a, x, plan).T, plan).T
 
 
-def _op(kind, mats, target: Register, register: Register, branches=(), bound=0) -> Op:
+def _op(kind, mats, target: Register, register: Register, branches=(), bound=0,
+        slot=()) -> Op:
     plan = _plan(tuple(register.index(v) for v in target), register.dims)
-    return Op(kind, tuple((m, dagger(m)) for m in mats), plan, branches, bound)
+    return Op(kind, tuple((m, dagger(m)) for m in mats), plan, branches, bound, slot)
 
 
 def lower(p, theta, register: Register) -> list:
@@ -158,7 +166,10 @@ def lower(p, theta, register: Register) -> list:
             ops.append(Op("abort"))
             break
         if isinstance(node, Unitary):
-            ops.append(_op("u", (gate_matrix(node.gate, theta),), node.register, register))
+            j = node.gate.param_index
+            slot = () if j is None else (j, node.gate)
+            ops.append(_op("u", (gate_matrix(node.gate, theta),), node.register,
+                           register, slot=slot))
         elif isinstance(node, Init):
             kraus = basis_kraus(node.var.dim, reset=True)
             ops.append(_op("init", kraus, Register.of(node.var), register))
@@ -225,6 +236,60 @@ def _dual(ops, x: np.ndarray) -> np.ndarray:
         else:
             return np.zeros_like(x)
     return x
+
+
+def _adjoint(ops, x: np.ndarray, y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Reverse mode: add d tr(y . ops(x)) / d theta_j into ``grad[j - 1]``
+    for every j and return the pulled-back ``y`` (what :func:`_dual`
+    returns).  ``x`` and ``y`` must be Hermitian.
+
+    The forward sweep stores the state only before non-unitary ops, and
+    stops after the last op whose input state the backward sweep needs.
+    The backward sweep recovers the state before each unitary as
+    U^dag x U and adds 2 Re tr(Y dU x U^dag) for a rotation on parameter
+    j, where dU = R(theta_j + pi) / 2 (the shift identity), so that
+    dU x U^dag = G (U x U^dag) with the local G = dU U^dag = -i sigma / 2.
+    A ``case`` recurses into each branch on K x K^dag and sums
+    K^dag y_k K; a ``while`` recurses as its nested-case unrolling; an
+    ``abort`` zeroes y, and with it every partial before it.
+    """
+    if ops and ops[-1].kind == "abort":
+        return np.zeros_like(y)
+    stop = max((i + 1 for i, op in enumerate(ops) if op.kind != "init"), default=0)
+    saved = {}
+    for i, op in enumerate(ops[:stop]):
+        if op.kind != "u":
+            saved[i] = x
+            if i == stop - 1:
+                break
+        x = _forward((op,), x)
+    for i in range(len(ops) - 1, -1, -1):
+        op = ops[i]
+        kind, plan = op.kind, op.plan
+        if kind == "u":
+            u, ud = op.pairs[0]
+            if op.slot:
+                j, gate = op.slot
+                g = rotation_generator(gate)
+                # vdot conjugates y, so this is tr(y . G x) for Hermitian y
+                grad[j - 1] += 2.0 * np.vdot(y, _left(g, x, plan)).real
+            if i and ops[i - 1].kind == "u":
+                x = _conj(x, ud, u, plan)
+            y = _conj(y, ud, u, plan)
+            continue
+        x = saved.get(i, x)
+        if kind == "init":
+            y = sum(_conj(y, kd, k, plan) for k, kd in op.pairs)
+        elif kind == "case":
+            y = sum(_conj(_adjoint(b, _conj(x, k, kd, plan), y, grad), kd, k, plan)
+                    for (k, kd), b in zip(op.pairs, op.branches))
+        else:  # while (T) == case: 0 -> skip, 1 -> body; while (T - 1)
+            (m0, d0), (m1, d1) = op.pairs
+            rest = (list(op.branches[0]) + [op._replace(bound=op.bound - 1)]
+                    if op.bound > 1 else [Op("abort")])
+            y = _conj(y, d0, m0, plan) + _conj(
+                _adjoint(rest, _conj(x, m1, d1, plan), y, grad), d1, m1, plan)
+    return y
 
 
 def denote(p, theta, rho: DensityOperator, register: Register | None = None,

@@ -5,6 +5,10 @@ Every gate, guard and reset is lifted to a full-register matrix with
 node at a time.  Slow and simple on purpose: ``qwad.semantics`` and
 ``qwad.gradient`` evaluate through local operator application instead,
 and the equivalence tests compare the two.
+
+``train_losses`` is the reference for the classifier training loop: its
+gradient is the per-parameter ``dual_gradient_operator`` sum over the
+derivative members, where ``qwad.casestudy`` runs one adjoint sweep.
 """
 
 from __future__ import annotations
@@ -13,9 +17,12 @@ import math
 
 import numpy as np
 
-from qwad.ast import Abort, Case, Init, Register, Seq, Skip, Unitary, While
+from qwad.ast import Abort, Case, Init, Register, Seq, Skip, Unitary, While, max_param_index
+from qwad.casestudy import REGISTER, Dataset4, init_theta, loss, readout_observable
 from qwad.gates import gate_matrix
+from qwad.gradient import derivative_program, dual_gradient_operator
 from qwad.linalg import dagger, embed
+from qwad.semantics import program_dual_observable
 
 
 def lift(op, target: Register, register: Register) -> np.ndarray:
@@ -134,3 +141,37 @@ def trajectory(p, theta, psi: np.ndarray, rng, reg: Register):
 
     psi, alive, weight = run(p, np.asarray(psi, dtype=complex), 1.0)
     return psi, alive, weight, tuple(outcomes)
+
+
+def _basis_index(z) -> int:
+    return int("".join(map(str, z)), 2)
+
+
+def loss_gradient(p, theta, derivatives) -> np.ndarray:
+    """Full-batch loss gradient, one parameter at a time: residual times
+    the diagonal of the pulled-back gradient operator of its members."""
+    obs = readout_observable()
+    fwd = program_dual_observable(p, theta, obs.mat, REGISTER)
+    residual = {
+        _basis_index(z): fwd[_basis_index(z), _basis_index(z)].real - y
+        for z, y in Dataset4.full()
+    }
+    out = []
+    for dp in derivatives:
+        sigma = dual_gradient_operator(dp, theta, obs, REGISTER)
+        # the ancilla is the most significant wire and starts in |0>, so
+        # the gradient for basis input b sits on the diagonal at index b
+        out.append(sum(r * sigma[b, b].real for b, r in residual.items()))
+    return np.array(out)
+
+
+def train_losses(p, cfg) -> list:
+    """The loss curve of ``casestudy.train`` with the gradient above."""
+    k = max_param_index(p)
+    theta = init_theta(k, cfg)
+    derivatives = [derivative_program(p, j) for j in range(1, k + 1)]
+    losses = [loss(p, theta)]
+    for _ in range(cfg.epochs):
+        theta = theta - cfg.learning_rate * loss_gradient(p, theta, derivatives)
+        losses.append(loss(p, theta))
+    return losses
